@@ -8,12 +8,12 @@ BENCH_PATTERN := BenchmarkSpawn|BenchmarkSpawnBatch|BenchmarkStealThroughput|Ben
 # fine-grained per-chunk tax, the wake latency, and the steal handoff rate.
 GATE_PATTERN := BenchmarkForFineHybrid|BenchmarkWakeToFirstTask|BenchmarkStealThroughput
 
-STRESS_PATTERN := TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
+STRESS_PATTERN := TestCancel|TestPanickingOwner|TestDemandRetiredOnPark|TestDemandQuiesces|TestMeetDemand|TestParkingRetains|TestParkUnpark|TestForErr|TestForEachErr|TestForCtx|TestPanicPropagation|TestStealHalf|TestStealBack|TestRangeSlotAbandon|TestGate|TestConcurrentIndependentLoops|TestCrossLoopCancelStress|TestTryForBackpressure|TestForDegradesInline|TestAdmissionPolicy|TestMetricsConcurrentStress|TestStealWakeChaining|TestTryStealPrefersLocal|TestHierarchicalRangeSteal
 
 # Packages carrying seeded golden datasets (testdata/golden_*.json).
 GOLDEN_PKGS := ./internal/sim/ ./internal/nas/
 
-.PHONY: check race bench benchdiff benchgate stress lint protodoc servertest golden golden-regen repro
+.PHONY: check race bench benchdiff benchgate stress lint protodoc servertest golden golden-regen repro perfbench-check
 
 # Every registered schedlint analyzer; `make lint` fails if a
 # registration regression drops one.
@@ -24,6 +24,12 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+
+## perfbench-check: vet and test the benchmark module (perfbench/ is its
+## own Go module, so the root `go build ./...` never compiles it; this
+## catches a refactor that drops an API the benchmark uses)
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## lint: vet plus the module's own concurrency-invariant analyzers
 ## (atomicmix, cacheline, lockorder, loopcapture, looperr,

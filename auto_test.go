@@ -1,6 +1,7 @@
 package hybridloop_test
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -91,29 +92,60 @@ func TestAutoLoopCoversEveryIteration(t *testing.T) {
 	}
 }
 
-// TestAutoSiteIdentity checks that two distinct Auto call sites keep
-// distinct profiles, and that Reduce attributes its inner loop to the
-// caller rather than to parallel.go.
+// TestAutoSiteIdentity checks that distinct Auto call sites keep
+// distinct profiles, one per public entry point, each attributed to the
+// caller's line — never to the library file that materialized the loop
+// options (hybridloop.go, cancel.go, serve.go) or to Reduce's inner loop
+// in parallel.go.
 func TestAutoSiteIdentity(t *testing.T) {
 	pool := hybridloop.NewPool(2, hybridloop.WithSeed(5))
 	defer pool.Close()
+	const n = 5000
 	body := func(lo, hi int) {}
-	pool.For(0, 5000, body, hybridloop.WithAuto()) // site A
-	pool.For(0, 5000, body, hybridloop.WithAuto()) // site B
-	_ = hybridloop.Sum(pool, 0, 5000, func(i int) float64 { return 1 },
-		hybridloop.WithAuto()) // site C, via Reduce
-	sites := pool.TunerSites()
-	if len(sites) != 3 {
-		t.Fatalf("three distinct call sites produced %d profiles: %+v", len(sites), sites)
+	auto := hybridloop.WithAuto()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sites := []struct {
+		name string
+		run  func() error
+	}{
+		{"For A", func() error { pool.For(0, n, body, auto); return nil }},
+		{"For B", func() error { pool.For(0, n, body, auto); return nil }},
+		{"Sum", func() error { // via Reduce
+			_ = hybridloop.Sum(pool, 0, n, func(i int) float64 { return 1 }, auto)
+			return nil
+		}},
+		{"ForEach", func() error { pool.ForEach(0, n, func(i int) {}, auto); return nil }},
+		{"ForErr", func() error {
+			return pool.ForErr(0, n, func(lo, hi int) error { return nil }, auto)
+		}},
+		{"ForEachErr", func() error {
+			return pool.ForEachErr(0, n, func(i int) error { return nil }, auto)
+		}},
+		{"TryFor", func() error { return pool.TryFor(0, n, body, auto) }},
+		{"ForCtx", func() error { return pool.ForCtx(ctx, 0, n, body, auto) }},
+		{"ForWorker", func() error {
+			pool.ForWorker(0, n, func(_ *hybridloop.Worker, lo, hi int) {}, auto)
+			return nil
+		}},
 	}
 	for _, s := range sites {
+		if err := s.run(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+	profiles := pool.TunerSites()
+	if len(profiles) != len(sites) {
+		t.Fatalf("%d distinct call sites produced %d profiles: %+v", len(sites), len(profiles), profiles)
+	}
+	for _, s := range profiles {
 		if s.Site == "" {
 			t.Fatalf("profile with empty site name: %+v", s)
 		}
-		// Reduce's inner p.For lives in parallel.go; attribution must
-		// point at this test file instead.
-		if containsStr(s.Site, "parallel.go") {
-			t.Fatalf("wrapper attribution leak: site %q", s.Site)
+		for _, lib := range []string{"parallel.go", "hybridloop.go", "cancel.go", "serve.go"} {
+			if containsStr(s.Site, lib) {
+				t.Fatalf("wrapper attribution leak: site %q", s.Site)
+			}
 		}
 		if !containsStr(s.Site, "auto_test.go") {
 			t.Fatalf("site %q does not name the caller's file", s.Site)

@@ -2,7 +2,6 @@ package hybridloop
 
 import (
 	"context"
-	"time"
 
 	"hybridloop/internal/loop"
 	"hybridloop/internal/sched"
@@ -29,56 +28,35 @@ var ErrLoopCancelled = sched.ErrCancelled
 // remaining workers the same way and then propagates to the caller as a
 // *sched.TaskPanicError, exactly as it does from For.
 func (p *Pool) ForErr(begin, end int, body func(lo, hi int) error, opts ...ForOption) error {
-	return p.forErr(begin, end, body, opts, 2)
+	c := new(sched.Canceller)
+	return p.invoke(context.Background(), admitInline, begin, end, failBody(c, body), c, opts)
 }
 
 // ForEachErr is ForErr with a per-index body. The erroring worker stops
 // mid-chunk at the failing index; other workers stop at their next chunk
 // boundary.
 func (p *Pool) ForEachErr(begin, end int, body func(i int) error, opts ...ForOption) error {
-	return p.forErr(begin, end, func(lo, hi int) error {
+	c := new(sched.Canceller)
+	return p.invoke(context.Background(), admitInline, begin, end, failBody(c, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if err := body(i); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, opts, 2)
+	}), c, opts)
 }
 
-// forErr is the shared lowering of ForErr/ForEachErr. skip is the frame
-// distance to the user's call site for Auto-loop attribution. Under
-// admission control a rejected submission degrades to a serial inline
-// run, exactly as For does: body is called once with the whole range on
-// the calling goroutine and its error (if any) returned.
-func (p *Pool) forErr(begin, end int, body func(lo, hi int) error, opts []ForOption, skip int) error {
-	if end <= begin {
-		return nil
-	}
-	if release, inline := p.admitOrInline(); inline {
-		if p.mreg != nil {
-			defer p.observeInline(time.Now())
+// failBody adapts an erroring body: the first error trips c. On a worker
+// it also wakes every parked worker, so the drain of the dying loop
+// (claim releases, slot poisoning) is not left to the one worker blocked
+// in the join; the inline run (w == nil) has no one to wake.
+func failBody(c *sched.Canceller, body func(lo, hi int) error) loop.BodyW {
+	return func(w *sched.Worker, lo, hi int) {
+		if err := body(lo, hi); err != nil && c.Cancel(err) && w != nil {
+			w.Pool().WakeAll()
 		}
-		return body(begin, end)
-	} else if release != nil {
-		defer release()
 	}
-	c := new(sched.Canceller)
-	o := p.options(opts, skip)
-	o.Cancel = c
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	s := p.s
-	loop.ForW(s, begin, end, func(_ *Worker, lo, hi int) {
-		if err := body(lo, hi); err != nil && c.Cancel(err) {
-			// First error: wake every parked worker so the drain of the
-			// dying loop (claim releases, slot poisoning) is not left to
-			// the one worker blocked in the join.
-			s.WakeAll()
-		}
-	}, o)
-	return c.Err()
 }
 
 // ForCtx executes body over [begin, end) in parallel like For, stopping
@@ -92,41 +70,11 @@ func (p *Pool) forErr(begin, end int, body func(lo, hi int) error, opts []ForOpt
 // The body itself is not passed the context: chunk sizes are chosen small
 // enough that checking between chunks is the intended granularity. Bodies
 // with very long single iterations should consult ctx themselves.
+//
+// Under admission control a submission the gate cannot admit immediately
+// waits for an in-flight slot (and a rate token) under ctx, so callers
+// get bounded queueing with a deadline instead of an inline fallback —
+// the natural shape for an HTTP handler holding a request context.
 func (p *Pool) ForCtx(ctx context.Context, begin, end int, body Body, opts ...ForOption) error {
-	if end <= begin {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// ForCtx is the blocking-with-ctx admission variant: a submission the
-	// gate cannot admit immediately waits for an in-flight slot (and a
-	// rate token) under ctx, so callers get bounded queueing with a
-	// deadline instead of an inline fallback — the natural shape for an
-	// HTTP handler holding a request context.
-	if p.gate != nil {
-		if err := p.gate.Acquire(ctx); err != nil {
-			return err
-		}
-		defer p.gate.Release()
-	}
-	if ctx.Done() == nil {
-		p.forUngated(begin, end, body, opts)
-		return nil
-	}
-	c := new(sched.Canceller)
-	o := p.options(opts, 1)
-	o.Cancel = c
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	s := p.s
-	stop := context.AfterFunc(ctx, func() {
-		if c.Cancel(ctx.Err()) {
-			s.WakeAll()
-		}
-	})
-	defer stop()
-	loop.For(s, begin, end, body, o)
-	return c.Err()
+	return p.invoke(ctx, admitWait, begin, end, chunkBody(body), nil, opts)
 }

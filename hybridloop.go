@@ -271,11 +271,11 @@ func callerPC(skip int) uintptr {
 	return pcs[0]
 }
 
-// options materializes a loop's Options. skip is the number of stack
-// frames between options and the user's call site, used to capture the
-// site identity when — and only when — the loop resolved to Auto, so
+// options materializes a loop's Options. The user's call site is always
+// three frames up (options ← invoke ← public entry point ← user); it is
+// captured when — and only when — the loop resolved to Auto, so
 // fixed-strategy loops pay nothing for the tuner's existence.
-func (p *Pool) options(opts []ForOption, skip int) loop.Options {
+func (p *Pool) options(opts []ForOption) loop.Options {
 	o := loop.Options{Strategy: p.strategy, Chunk: p.chunk}
 	for _, fn := range opts {
 		fn(&o)
@@ -283,10 +283,87 @@ func (p *Pool) options(opts []ForOption, skip int) loop.Options {
 	if o.Strategy == Auto {
 		o.Tuner = p.tuner
 		if o.Site == 0 {
-			o.Site = callerPC(skip + 1)
+			o.Site = callerPC(3)
 		}
 	}
 	return o
+}
+
+// admission is how a loop submission reacts when the pool's admission
+// gate cannot admit it immediately.
+type admission uint8
+
+const (
+	// admitInline degrades the submission to a serial inline run of the
+	// whole range on the calling goroutine — bounded degradation instead
+	// of oversubscription: the pool's worker count and in-flight loop
+	// count stay fixed, and the excess submission costs only the calling
+	// goroutine (which would have blocked in the pool anyway).
+	admitInline admission = iota
+	// admitReject returns ErrBackpressure without running any iteration.
+	admitReject
+	// admitWait blocks for an in-flight slot (and a rate token) under the
+	// submission's context.
+	admitWait
+)
+
+// invoke is the one submission pipeline every public Pool loop entry
+// point lowers to: empty-range and pre-cancelled-ctx checks, options,
+// admission under adm, cancellation wiring, the metrics observation and
+// the parallel loop itself. c is the loop's cancellation token (nil
+// unless the caller trips it itself); a cancellable ctx also trips it.
+// The returned error is the admission verdict or c's cause.
+//
+// The inline fallback calls body with a nil worker, which is safe only
+// for the chunkBody, eachBody and failBody adapters: a caller-supplied
+// BodyW reaches invoke only under admitWait, which never runs inline.
+func (p *Pool) invoke(ctx context.Context, adm admission, begin, end int, body loop.BodyW, c *sched.Canceller, opts []ForOption) error {
+	if end <= begin {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// Materialized before admission so an inline run is still recorded
+	// under the loop's WithLabel site.
+	o := p.options(opts)
+	if p.gate != nil {
+		if adm == admitWait {
+			if err := p.gate.Acquire(ctx); err != nil {
+				return err
+			}
+		} else if !p.gate.TryAcquire() {
+			if adm == admitReject {
+				return ErrBackpressure
+			}
+			p.gate.NoteInline()
+			if p.mreg != nil {
+				defer p.observe(o.Label, "inline", time.Now())
+			}
+			body(nil, begin, end)
+			return c.Err()
+		}
+		defer p.gate.Release()
+	}
+	if ctx.Done() != nil {
+		if c == nil {
+			c = new(sched.Canceller)
+		}
+		stop := context.AfterFunc(ctx, func() {
+			if c.Cancel(ctx.Err()) {
+				p.s.WakeAll()
+			}
+		})
+		defer stop()
+	}
+	o.Cancel = c
+	if p.mreg != nil {
+		// Arguments are evaluated at the defer statement, so time.Now()
+		// captures the submission time and the observation fires at join.
+		defer p.observe(o.Label, o.Strategy.String(), time.Now())
+	}
+	loop.ForW(p.s, begin, end, body, o)
+	return c.Err()
 }
 
 // For executes body over the iteration space [begin, end) in parallel and
@@ -301,53 +378,22 @@ func (p *Pool) options(opts []ForOption, skip int) loop.Options {
 // Every iteration still executes exactly once; the pool's concurrency
 // stays bounded. Use TryFor to observe the rejection instead.
 func (p *Pool) For(begin, end int, body Body, opts ...ForOption) {
-	if end <= begin {
-		return
-	}
-	if release, inline := p.admitOrInline(); inline {
-		if p.mreg != nil {
-			defer p.observeInline(time.Now())
-		}
-		body(begin, end)
-		return
-	} else if release != nil {
-		defer release()
-	}
-	o := p.options(opts, 1)
-	if p.mreg != nil {
-		// Arguments are evaluated at the defer statement, so time.Now()
-		// captures the submission time and the observation fires at join.
-		defer p.observeLoop(&o, time.Now())
-	}
-	loop.For(p.s, begin, end, body, o)
+	_ = p.invoke(context.Background(), admitInline, begin, end, chunkBody(body), nil, opts)
+}
+
+// chunkBody adapts a chunked body to the worker-aware form the loop core
+// consumes.
+func chunkBody(body Body) loop.BodyW {
+	return func(_ *sched.Worker, lo, hi int) { body(lo, hi) }
 }
 
 // ForEach is For with a per-index body — more convenient, slightly slower
 // for very fine-grained loops. The per-index adapter is built once, in
 // the worker-aware form the loop core consumes directly, so ForEach costs
-// at most one more allocation per loop than For (it used to wrap body in
-// two closure layers re-boxed on every call). Under admission control it
-// degrades to a serial inline run exactly as For does.
+// at most one more allocation per loop than For. Under admission control
+// it degrades to a serial inline run exactly as For does.
 func (p *Pool) ForEach(begin, end int, body func(i int), opts ...ForOption) {
-	if end <= begin {
-		return
-	}
-	if release, inline := p.admitOrInline(); inline {
-		if p.mreg != nil {
-			defer p.observeInline(time.Now())
-		}
-		for i := begin; i < end; i++ {
-			body(i)
-		}
-		return
-	} else if release != nil {
-		defer release()
-	}
-	o := p.options(opts, 1)
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	loop.ForW(p.s, begin, end, eachBody(body), o)
+	_ = p.invoke(context.Background(), admitInline, begin, end, eachBody(body), nil, opts)
 }
 
 // eachBody adapts a per-index body to the chunked worker-aware form with
@@ -374,39 +420,29 @@ type BodyW = loop.BodyW
 // loops complete, so the wait is bounded by the backlog, like a
 // semaphore).
 func (p *Pool) ForWorker(begin, end int, body BodyW, opts ...ForOption) {
-	if end <= begin {
-		return
+	_ = p.invoke(context.Background(), admitWait, begin, end, body, nil, opts)
+}
+
+// nestedOptions materializes a nested loop's Options. Nested loops run
+// Hybrid unless overridden, not the pool's defaults: a Worker carries no
+// handle to the Pool that configured them.
+func nestedOptions(opts []ForOption) loop.Options {
+	o := loop.Options{Strategy: Hybrid}
+	for _, fn := range opts {
+		fn(&o)
 	}
-	if p.gate != nil {
-		if err := p.gate.Acquire(context.Background()); err != nil {
-			return // unreachable: Background is never done
-		}
-		defer p.gate.Release()
-	}
-	o := p.options(opts, 1)
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	loop.ForW(p.s, begin, end, body, o)
+	return o
 }
 
 // ForWorkerNested runs a worker-aware nested loop from inside a task
 // executing on w.
 func ForWorkerNested(w *Worker, begin, end int, body BodyW, opts ...ForOption) {
-	o := loop.Options{Strategy: Hybrid}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	loop.WorkerForW(w, begin, end, body, o)
+	loop.WorkerForW(w, begin, end, body, nestedOptions(opts))
 }
 
 // For runs a nested parallel loop from inside a task executing on w.
 func For(w *Worker, begin, end int, body Body, opts ...ForOption) {
-	o := loop.Options{Strategy: Hybrid}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	loop.WorkerFor(w, begin, end, body, o)
+	loop.WorkerFor(w, begin, end, body, nestedOptions(opts))
 }
 
 // DefaultChunk exposes the paper's chunk rule min(2048, N/(8P)).

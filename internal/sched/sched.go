@@ -288,19 +288,14 @@ func NewPool(p int, seed uint64) *Pool {
 	return newPool(p, seed, false, nil)
 }
 
-// NewPoolLocked is NewPool with each worker goroutine locked to its own
-// OS thread (runtime.LockOSThread). On dedicated multicore machines this
-// keeps the Go scheduler from migrating workers between threads, which
-// matters when the OS pins threads to cores — the setup under which the
-// paper's locality results apply.
-func NewPoolLocked(p int, seed uint64) *Pool {
-	return newPool(p, seed, true, nil)
-}
-
 // NewPoolPlaced is the placement-aware constructor: pl maps workers to
 // sockets and both steal paths sweep hierarchically (own socket first,
 // larger cross-socket range transfers). A nil placement is the flat
-// default, identical to NewPool/NewPoolLocked.
+// default, identical to NewPool. lockThreads locks each worker goroutine
+// to its own OS thread (runtime.LockOSThread), keeping the Go scheduler
+// from migrating workers between threads — what matters when the OS pins
+// threads to cores, the setup under which the paper's locality results
+// apply.
 func NewPoolPlaced(p int, seed uint64, lockThreads bool, pl *Placement) *Pool {
 	return newPool(p, seed, lockThreads, pl)
 }

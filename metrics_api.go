@@ -6,7 +6,6 @@ import (
 
 	"hybridloop/internal/loop"
 	"hybridloop/internal/metrics"
-	"hybridloop/internal/trace"
 )
 
 // MetricsRegistry is the pool's metrics plane: label-based counters,
@@ -62,37 +61,17 @@ func (p *Pool) registerPoolMetrics() {
 // recent history behind the _recent quantile series.
 const loopDurationWindows = 6
 
-// observeLoop records one completed loop submission. Called via defer
-// with time.Now() captured at the defer statement, so start is the
-// submission time. The registry lookup is two RWMutex read-locked map
-// probes per loop — noise next to loop setup, and nothing at all when
-// metrics are off (callers check p.mreg first).
-func (p *Pool) observeLoop(o *loop.Options, start time.Time) {
-	ls := metrics.L("site", o.Label, "strategy", o.Strategy.String())
+// observe records one completed loop submission under {site, strategy};
+// strategy is "inline" for a run the admission gate degraded to the
+// calling goroutine (the scheduler never saw it). Called via defer with
+// time.Now() captured at the defer statement, so start is the submission
+// time. The registry lookup is two RWMutex read-locked map probes per
+// loop — noise next to loop setup, and nothing at all when metrics are
+// off (invoke checks p.mreg first).
+func (p *Pool) observe(site, strategy string, start time.Time) {
+	ls := metrics.L("site", site, "strategy", strategy)
 	p.mreg.Windowed("hybridloop_loop_duration_seconds",
 		"wall time of public loop calls, submission to join", ls, nil, loopDurationWindows).
 		ObserveSince(start)
 	p.mreg.Counter("hybridloop_loops_total", "public loop calls completed", ls).Inc()
-}
-
-// observeInline records a loop submission the admission gate degraded to
-// a serial inline run (the scheduler never saw it, so observeLoop's
-// strategy label would be a lie).
-func (p *Pool) observeInline(start time.Time) {
-	p.mreg.Windowed("hybridloop_loop_duration_seconds",
-		"wall time of public loop calls, submission to join",
-		metrics.L("site", "", "strategy", "inline"), nil, loopDurationWindows).
-		ObserveSince(start)
-	p.mreg.Counter("hybridloop_loops_total", "public loop calls completed",
-		metrics.L("site", "", "strategy", "inline")).Inc()
-}
-
-// BridgeTraceMetrics post-processes a trace log into r: chunk-size and
-// loop-duration histograms, claim/steal/split/cancel counters, all
-// labeled site=<label>. Tracing already pays a per-chunk critical
-// section, so the bridge runs over the harvested log instead of adding a
-// second hot-path producer. Bridge each log once (Reset it afterwards if
-// the loop runs again), or the counts double.
-func BridgeTraceMetrics(r *MetricsRegistry, label string, l *trace.Log) {
-	r.BridgeTrace(label, l)
 }

@@ -7,6 +7,7 @@ package hybridloop_test
 // blocking admission.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"hybridloop"
+	"hybridloop/internal/metrics"
 )
 
 // TestConcurrentIndependentLoops submits For, ForErr, and Reduce loops
@@ -244,6 +246,132 @@ func TestForDegradesInlineUnderBackpressure(t *testing.T) {
 	}
 	if s, _ := p.AdmissionStats(); s.Inline < 2 {
 		t.Fatalf("Inline = %d, want >= 2", s.Inline)
+	}
+}
+
+// TestAdmissionPolicyPerEntryPoint pins each public entry point's
+// admission policy on a full gate: For, ForEach, ForErr and ForEachErr
+// degrade to a serial inline run; TryFor rejects with ErrBackpressure;
+// ForCtx waits under its context (and so times out here); ForWorker waits
+// until a slot frees and then runs the whole loop.
+func TestAdmissionPolicyPerEntryPoint(t *testing.T) {
+	const n = 1000
+	count := func(hits []int32, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	}
+	cases := []struct {
+		name    string
+		inline  bool  // degrades to an inline run: GateStats.Inline +1
+		blocks  bool  // waits until the occupying loop releases its slot
+		wantErr error // non-nil: returned with zero iterations run
+		run     func(p *hybridloop.Pool, hits []int32) error
+	}{
+		{"For", true, false, nil, func(p *hybridloop.Pool, hits []int32) error {
+			p.For(0, n, func(lo, hi int) { count(hits, lo, hi) })
+			return nil
+		}},
+		{"ForEach", true, false, nil, func(p *hybridloop.Pool, hits []int32) error {
+			p.ForEach(0, n, func(i int) { count(hits, i, i+1) })
+			return nil
+		}},
+		{"ForErr", true, false, nil, func(p *hybridloop.Pool, hits []int32) error {
+			return p.ForErr(0, n, func(lo, hi int) error { count(hits, lo, hi); return nil })
+		}},
+		{"ForEachErr", true, false, nil, func(p *hybridloop.Pool, hits []int32) error {
+			return p.ForEachErr(0, n, func(i int) error { count(hits, i, i+1); return nil })
+		}},
+		{"TryFor", false, false, hybridloop.ErrBackpressure, func(p *hybridloop.Pool, hits []int32) error {
+			return p.TryFor(0, n, func(lo, hi int) { count(hits, lo, hi) })
+		}},
+		{"ForCtx", false, false, context.DeadlineExceeded, func(p *hybridloop.Pool, hits []int32) error {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			return p.ForCtx(ctx, 0, n, func(lo, hi int) { count(hits, lo, hi) })
+		}},
+		{"ForWorker", false, true, nil, func(p *hybridloop.Pool, hits []int32) error {
+			p.ForWorker(0, n, func(_ *hybridloop.Worker, lo, hi int) { count(hits, lo, hi) })
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := hybridloop.NewPool(2, hybridloop.WithMaxInFlightLoops(1))
+			defer p.Close()
+			release := sync.OnceFunc(occupyPool(t, p, 1))
+			defer release()
+			before, _ := p.AdmissionStats()
+			hits := make([]int32, n)
+			done := make(chan error, 1)
+			go func() { done <- tc.run(p, hits) }()
+
+			var err error
+			if tc.blocks {
+				select {
+				case err = <-done:
+					t.Fatalf("returned %v while the gate was full, want a wait", err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				for i := range hits {
+					if c := atomic.LoadInt32(&hits[i]); c != 0 {
+						t.Fatalf("iteration %d ran %d times before admission", i, c)
+					}
+				}
+				release()
+			}
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("entry point never returned")
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			want := int32(1)
+			if tc.wantErr != nil {
+				want = 0
+			}
+			for i, c := range hits {
+				if c != want {
+					t.Fatalf("iteration %d ran %d times, want %d", i, c, want)
+				}
+			}
+			after, _ := p.AdmissionStats()
+			wantInline := before.Inline
+			if tc.inline {
+				wantInline++
+			}
+			if after.Inline != wantInline {
+				t.Fatalf("GateStats.Inline %d -> %d, want %d", before.Inline, after.Inline, wantInline)
+			}
+		})
+	}
+}
+
+// TestInlineRunKeepsLabelSite: a loop the gate degrades to an inline run
+// is recorded on the metrics plane under its WithLabel site, as the
+// option documents, with strategy="inline".
+func TestInlineRunKeepsLabelSite(t *testing.T) {
+	reg := hybridloop.NewMetricsRegistry()
+	p := hybridloop.NewPool(2, hybridloop.WithMaxInFlightLoops(1), hybridloop.WithMetrics(reg))
+	defer p.Close()
+	release := occupyPool(t, p, 1)
+	defer release()
+
+	p.For(0, 100, func(lo, hi int) {}, hybridloop.WithLabel("x"))
+
+	var b bytes.Buffer
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := metrics.ParseText(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := `hybridloop_loops_total{site="x",strategy="inline"}`
+	if v, ok := sc.Value(key); !ok || v != 1 {
+		t.Fatalf("%s = %v (present %v), want 1; loops: %v", key, v, ok, sc.Family("hybridloop_loops_total"))
 	}
 }
 

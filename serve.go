@@ -1,7 +1,7 @@
 package hybridloop
 
 import (
-	"time"
+	"context"
 
 	"hybridloop/internal/loop"
 	"hybridloop/internal/sched"
@@ -24,9 +24,10 @@ type LoopInfo = sched.LoopInfo
 
 // WithMaxInFlightLoops bounds how many loops may execute on the pool
 // concurrently (the in-flight budget of the admission gate). Submissions
-// beyond the bound observe backpressure: For and ForErr degrade to a
-// serial inline run on the calling goroutine, TryFor returns
-// ErrBackpressure, and ForCtx waits for a slot under its context.
+// beyond the bound observe backpressure: For, ForEach, ForErr and
+// ForEachErr degrade to a serial inline run on the calling goroutine,
+// TryFor returns ErrBackpressure, and ForCtx and ForWorker wait for a
+// slot (ForCtx under its context).
 // n <= 0 (the default) leaves the budget unlimited.
 func WithMaxInFlightLoops(n int) Option {
 	return func(p *Pool) { p.maxInFlight = n }
@@ -77,49 +78,5 @@ func (p *Pool) LoopsRegistered() int64 { return p.s.LoopsRegistered() }
 // iteration; otherwise it runs the loop to completion and returns nil.
 // On a pool without admission control it is exactly For.
 func (p *Pool) TryFor(begin, end int, body Body, opts ...ForOption) error {
-	if end <= begin {
-		return nil
-	}
-	if p.gate != nil {
-		if !p.gate.TryAcquire() {
-			return ErrBackpressure
-		}
-		defer p.gate.Release()
-	}
-	o := p.options(opts, 1)
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	loop.For(p.s, begin, end, body, o)
-	return nil
-}
-
-// forUngated runs a loop without consulting the admission gate, for
-// callers (ForCtx) that performed their own admission. skip = 2: the
-// user's call site is two frames above the options materialization.
-func (p *Pool) forUngated(begin, end int, body Body, opts []ForOption) {
-	o := p.options(opts, 2)
-	if p.mreg != nil {
-		defer p.observeLoop(&o, time.Now())
-	}
-	loop.For(p.s, begin, end, body, o)
-}
-
-// admitOrInline performs the gated admission of a blocking public loop
-// call. inline == true means the gate rejected the submission and the
-// caller must degrade to a serial inline run on its own goroutine —
-// bounded degradation instead of oversubscription: the pool's worker
-// count and the in-flight loop count stay fixed, and the excess
-// submission costs only the calling goroutine (which would have blocked
-// in the pool anyway). Otherwise release must be called (if non-nil)
-// when the loop completes.
-func (p *Pool) admitOrInline() (release func(), inline bool) {
-	if p.gate == nil {
-		return nil, false
-	}
-	if !p.gate.TryAcquire() {
-		p.gate.NoteInline()
-		return nil, true
-	}
-	return p.gate.Release, false
+	return p.invoke(context.Background(), admitReject, begin, end, chunkBody(body), nil, opts)
 }
